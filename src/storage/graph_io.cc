@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "storage/predicate.h"
@@ -436,7 +437,7 @@ Result<OgGraph> LoadOgGraph(dataflow::ExecutionContext* ctx,
     size_t pos = 0;
     TG_ASSIGN_OR_RETURN(History history,
                         DeserializeHistory(vbatch.columns[3].binaries[row], &pos));
-    history = ClipHistory(history, clip);
+    history = ClipHistory(std::move(history), clip);
     if (history.empty()) continue;
     vertices.push_back(OgVertex{vbatch.columns[0].ints[row], std::move(history)});
   }
@@ -460,10 +461,10 @@ Result<OgGraph> LoadOgGraph(dataflow::ExecutionContext* ctx,
     pos = 0;
     TG_ASSIGN_OR_RETURN(History history,
                         DeserializeHistory(ebatch.columns[5].binaries[row], &pos));
-    history = ClipHistory(history, clip);
+    history = ClipHistory(std::move(history), clip);
     if (history.empty()) continue;
-    v1.history = ClipHistory(v1.history, clip);
-    v2.history = ClipHistory(v2.history, clip);
+    v1.history = ClipHistory(std::move(v1.history), clip);
+    v2.history = ClipHistory(std::move(v2.history), clip);
     edges.push_back(OgEdge{ebatch.columns[0].ints[row], std::move(v1),
                            std::move(v2), std::move(history)});
   }
@@ -789,29 +790,43 @@ std::vector<std::pair<std::string, std::string>> StoreMetadata(
   return metadata;
 }
 
-/// Memoizes the previously decoded property cell. Columnar neighbors very
-/// often carry byte-identical attribute blobs (a constant type tag, a
-/// stable schema of per-type attributes), and the store's segments are
-/// stable mmap memory, so the previous cell's bytes can be compared by
-/// view. A repeat then costs one Properties copy — a refcount bump under
-/// copy-on-write — instead of a parse. One cache per decode loop; never
-/// shared across threads.
-class PropsRunCache {
+/// Decodes and clips each distinct OG endpoint-copy cell once per store
+/// partition. Every edge embeds copies of both endpoints, so one vertex's
+/// cell repeats once per incident edge; a repeat costs one History copy
+/// (its property sets are shared under copy-on-write) instead of a parse
+/// and a clip. Keyed by the cell's vertex id and hit only on identical
+/// bytes: the copies of one vertex can differ (a stored Slice or chained
+/// aZoom result). Holds views into the partition's columns, so it lives
+/// within one partition's decode; never shared across threads.
+class EndpointBlobMemo {
  public:
-  Result<Properties> Decode(std::string_view blob) {
-    if (valid_ && blob == last_blob_) return last_props_;
+  explicit EndpointBlobMemo(Interval clip) : clip_(clip) {}
+
+  Result<OgVertex> Decode(std::string_view blob) {
     size_t pos = 0;
-    TG_ASSIGN_OR_RETURN(Properties props, DeserializeProperties(blob, &pos));
-    last_blob_ = blob;
-    last_props_ = props;
-    valid_ = true;
-    return props;
+    TG_ASSIGN_OR_RETURN(uint64_t vid, GetFixed64(blob, &pos));
+    // A new entry's empty blob never matches: a cell holds at least its id.
+    Entry& entry = memo_[static_cast<VertexId>(vid)];
+    bool same = entry.blob.size() == blob.size() &&
+                (entry.blob.data() == blob.data() || entry.blob == blob);
+    if (!same) {
+      TG_ASSIGN_OR_RETURN(History history,
+                          DeserializeHistory(blob, &pos, &cache_));
+      entry.vertex = OgVertex{static_cast<VertexId>(vid),
+                              ClipHistory(std::move(history), clip_)};
+      entry.blob = blob;
+    }
+    return entry.vertex;
   }
 
  private:
-  bool valid_ = false;
-  std::string_view last_blob_;
-  Properties last_props_;
+  struct Entry {
+    std::string_view blob;
+    OgVertex vertex;
+  };
+  Interval clip_;
+  PropsRunCache cache_;
+  std::unordered_map<VertexId, Entry> memo_;
 };
 
 }  // namespace
@@ -1010,12 +1025,13 @@ Result<OgGraph> LoadOgGraphFromStore(dataflow::ExecutionContext* ctx,
             TG_ASSIGN_OR_RETURN(auto vids, store.Int64Column(vt, p, 0));
             TG_ASSIGN_OR_RETURN(auto histories, store.BinaryColumn(vt, p, 3));
             out->reserve(vids.size());
+            PropsRunCache cache;
             for (size_t i = 0; i < vids.size(); ++i) {
               size_t pos = 0;
               TG_ASSIGN_OR_RETURN(
                   History history,
-                  DeserializeHistory(histories.Value(i), &pos));
-              history = ClipHistory(history, clip);
+                  DeserializeHistory(histories.Value(i), &pos, &cache));
+              history = ClipHistory(std::move(history), clip);
               if (history.empty()) continue;
               out->push_back(OgVertex{vids[i], std::move(history)});
             }
@@ -1037,21 +1053,17 @@ Result<OgGraph> LoadOgGraphFromStore(dataflow::ExecutionContext* ctx,
             TG_ASSIGN_OR_RETURN(auto v2s, store.BinaryColumn(et, p, 4));
             TG_ASSIGN_OR_RETURN(auto histories, store.BinaryColumn(et, p, 5));
             out->reserve(eids.size());
+            PropsRunCache cache;
+            EndpointBlobMemo endpoints(clip);
             for (size_t i = 0; i < eids.size(); ++i) {
               size_t pos = 0;
               TG_ASSIGN_OR_RETURN(
                   History history,
-                  DeserializeHistory(histories.Value(i), &pos));
-              history = ClipHistory(history, clip);
+                  DeserializeHistory(histories.Value(i), &pos, &cache));
+              history = ClipHistory(std::move(history), clip);
               if (history.empty()) continue;
-              pos = 0;
-              TG_ASSIGN_OR_RETURN(OgVertex v1,
-                                  DeserializeOgVertex(v1s.Value(i), &pos));
-              pos = 0;
-              TG_ASSIGN_OR_RETURN(OgVertex v2,
-                                  DeserializeOgVertex(v2s.Value(i), &pos));
-              v1.history = ClipHistory(v1.history, clip);
-              v2.history = ClipHistory(v2.history, clip);
+              TG_ASSIGN_OR_RETURN(OgVertex v1, endpoints.Decode(v1s.Value(i)));
+              TG_ASSIGN_OR_RETURN(OgVertex v2, endpoints.Decode(v2s.Value(i)));
               out->push_back(OgEdge{eids[i], std::move(v1), std::move(v2),
                                     std::move(history)});
             }

@@ -192,7 +192,25 @@ void SerializeHistory(const History& history, std::string* out) {
   }
 }
 
-Result<History> DeserializeHistory(std::string_view data, size_t* pos) {
+Result<Properties> PropsRunCache::DecodeAt(std::string_view data,
+                                           size_t* pos) {
+  if (valid_ && data.substr(*pos).starts_with(last_bytes_)) {
+    *pos += last_bytes_.size();
+    return last_props_;
+  }
+  size_t start = *pos;
+  TG_ASSIGN_OR_RETURN(Properties props,
+                      DeserializePropertiesAt(data, pos, /*depth=*/1));
+  last_bytes_ = data.substr(start, *pos - start);
+  last_props_ = props;
+  valid_ = true;
+  return props;
+}
+
+Result<History> DeserializeHistory(std::string_view data, size_t* pos,
+                                   PropsRunCache* cache) {
+  PropsRunCache local;
+  if (cache == nullptr) cache = &local;
   TG_ASSIGN_OR_RETURN(uint64_t count, GetVarint(data, pos));
   // Minimum item: two fixed64 interval bounds + 1-byte property count.
   TG_RETURN_IF_ERROR(CheckCount(count, data, *pos, 17, "history item"));
@@ -201,8 +219,7 @@ Result<History> DeserializeHistory(std::string_view data, size_t* pos) {
   for (uint64_t i = 0; i < count; ++i) {
     TG_ASSIGN_OR_RETURN(uint64_t start, GetFixed64(data, pos));
     TG_ASSIGN_OR_RETURN(uint64_t end, GetFixed64(data, pos));
-    TG_ASSIGN_OR_RETURN(Properties props,
-                        DeserializePropertiesAt(data, pos, /*depth=*/1));
+    TG_ASSIGN_OR_RETURN(Properties props, cache->DecodeAt(data, pos));
     history.push_back(HistoryItem{Interval(static_cast<TimePoint>(start),
                                            static_cast<TimePoint>(end)),
                                   std::move(props)});

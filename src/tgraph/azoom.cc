@@ -1,8 +1,6 @@
 #include "tgraph/azoom.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "common/hash.h"
 #include "obs/trace.h"
@@ -38,13 +36,15 @@ Properties Finalize(const VertexAggregator& aggregator, Properties props) {
 // the aggregator's merge, finalizes each elementary segment.
 History AggregateSeededStates(std::vector<SeededState> states,
                               const AZoomSpec& spec) {
-  std::set<TimePoint> boundaries;
+  std::vector<TimePoint> points;
+  points.reserve(2 * states.size());
   for (const SeededState& s : states) {
-    boundaries.insert(s.interval.start);
-    boundaries.insert(s.interval.end);
+    points.push_back(s.interval.start);
+    points.push_back(s.interval.end);
   }
-  if (boundaries.size() < 2) return {};
-  std::vector<TimePoint> points(boundaries.begin(), boundaries.end());
+  std::sort(points.begin(), points.end());
+  points.erase(std::unique(points.begin(), points.end()), points.end());
+  if (points.size() < 2) return {};
 
   // Sort states by start so each elementary segment scans a narrow range.
   std::sort(states.begin(), states.end(),
@@ -251,20 +251,84 @@ struct OgGroupPeriod {
   Interval interval;
   VertexId new_vid;
   Properties seeded;
+  TimePoint max_end;  // the largest interval end up to this period
 };
 
-std::vector<OgGroupPeriod> GroupPeriodsOf(const OgVertex& v,
-                                          const AZoomSpec& spec) {
+// A vertex's group periods sorted by start, each with the running maximum
+// of the ends, so the periods overlapping an interval are found by binary
+// search — also when the history overlaps itself.
+struct OgGroupPeriods {
   std::vector<OgGroupPeriod> periods;
+
+  bool empty() const { return periods.empty(); }
+
+  // Calls fn(period, overlap) for each period overlapping `window`.
+  template <typename Fn>
+  void ForEachOverlapping(const Interval& window, const Fn& fn) const {
+    auto it = std::partition_point(
+        periods.begin(), periods.end(),
+        [&window](const OgGroupPeriod& p) { return p.max_end <= window.start; });
+    for (; it != periods.end() && it->interval.start < window.end; ++it) {
+      Interval overlap = it->interval.Intersect(window);
+      if (!overlap.empty()) fn(*it, overlap);
+    }
+  }
+};
+
+OgGroupPeriods GroupPeriodsOf(const OgVertex& v, const AZoomSpec& spec) {
+  OgGroupPeriods result;
+  std::vector<OgGroupPeriod>& periods = result.periods;
+  periods.reserve(v.history.size());
   for (const HistoryItem& item : v.history) {
     std::optional<GroupKey> group = spec.group_of(v.vid, item.properties);
     if (!group.has_value()) continue;
     periods.push_back(OgGroupPeriod{
         item.interval, spec.skolem(*group),
         Finalize(spec.aggregator,
-                 spec.aggregator.init(*group, v.vid, item.properties))});
+                 spec.aggregator.init(*group, v.vid, item.properties)),
+        item.interval.end});
   }
-  return periods;
+  auto by_start = [](const OgGroupPeriod& a, const OgGroupPeriod& b) {
+    return a.interval.start < b.interval.start;
+  };
+  // Histories are normally sorted already; stable_sort would allocate.
+  if (!std::is_sorted(periods.begin(), periods.end(), by_start)) {
+    std::stable_sort(periods.begin(), periods.end(), by_start);
+  }
+  for (size_t i = 1; i < periods.size(); ++i) {
+    periods[i].max_end = std::max(periods[i].max_end, periods[i - 1].max_end);
+  }
+  return result;
+}
+
+// History pieces of one redirected edge: the spans where the input edge
+// and a group period of each endpoint are valid at once, with the
+// endpoint-copy states for the same spans.
+struct RedirectedPieces {
+  std::pair<VertexId, VertexId> endpoints;  // (new src, new dst)
+  History edge, src, dst;
+};
+
+// Splits one edge state against both endpoints' group periods, appending
+// to the pieces of each (new src, new dst) pair. An edge has few pairs, so
+// `pieces` is a flat list.
+void SplitEdgeState(const Interval& interval, const Properties& properties,
+                    const OgGroupPeriods& src, const OgGroupPeriods& dst,
+                    std::vector<RedirectedPieces>* pieces) {
+  src.ForEachOverlapping(interval, [&](const OgGroupPeriod& sp, Interval a) {
+    dst.ForEachOverlapping(a, [&](const OgGroupPeriod& dp, Interval overlap) {
+      std::pair<VertexId, VertexId> key(sp.new_vid, dp.new_vid);
+      auto p = std::find_if(
+          pieces->begin(), pieces->end(),
+          [&key](const RedirectedPieces& q) { return q.endpoints == key; });
+      if (p == pieces->end()) {
+        p = pieces->insert(pieces->end(), RedirectedPieces{key, {}, {}, {}});
+      }
+      p->edge.push_back(HistoryItem{overlap, properties});
+      p->src.push_back(HistoryItem{overlap, sp.seeded});
+      p->dst.push_back(HistoryItem{overlap, dp.seeded});
+    });
+  });
 }
 
 }  // namespace
@@ -314,48 +378,47 @@ OgGraph AZoomOg(const OgGraph& graph, const AZoomSpec& spec) {
               });
 
   // Lines 6-9: edge redirection without a join — each OG edge embeds copies
-  // of its endpoints, so their group periods are computed locally. One
-  // output edge is emitted per distinct (new src, new dst) pair.
+  // of its endpoints, so their group periods are computed locally, once per
+  // distinct endpoint copy per partition. One output edge is emitted per
+  // distinct (new src, new dst) pair.
   std::string edge_type = spec.edge_type;
-  auto zoomed_edges = graph.edges().FlatMap<OgEdge>(
-      [spec_copy, edge_type](const OgEdge& e, std::vector<OgEdge>* out) {
-        std::vector<OgGroupPeriod> src_periods =
-            GroupPeriodsOf(e.v1, spec_copy);
-        std::vector<OgGroupPeriod> dst_periods =
-            GroupPeriodsOf(e.v2, spec_copy);
-        if (src_periods.empty() || dst_periods.empty()) return;
-        // (new src, new dst) -> history pieces where edge and both group
-        // periods are simultaneously valid, plus the endpoint-copy states
-        // for the same spans.
-        struct Pieces {
-          History edge, src, dst;
+  auto zoomed_edges = graph.edges().MapPartitions<OgEdge>(
+      [spec_copy, edge_type](const std::vector<OgEdge>& edges,
+                             std::vector<OgEdge>* out) {
+        EndpointMemo<OgGroupPeriods> memo;
+        auto periods_of = [&spec_copy](const OgVertex& v) {
+          return GroupPeriodsOf(v, spec_copy);
         };
-        std::map<std::pair<VertexId, VertexId>, Pieces> pieces;
-        for (const HistoryItem& item : e.history) {
-          for (const OgGroupPeriod& sp : src_periods) {
-            Interval a = item.interval.Intersect(sp.interval);
-            if (a.empty()) continue;
-            for (const OgGroupPeriod& dp : dst_periods) {
-              Interval overlap = a.Intersect(dp.interval);
-              if (overlap.empty()) continue;
-              Properties props = item.properties;
-              if (!edge_type.empty()) props.Set(kTypeProperty, edge_type);
-              Pieces& p = pieces[{sp.new_vid, dp.new_vid}];
-              p.edge.push_back(HistoryItem{overlap, std::move(props)});
-              p.src.push_back(HistoryItem{overlap, sp.seeded});
-              p.dst.push_back(HistoryItem{overlap, dp.seeded});
-            }
+        std::vector<RedirectedPieces> pieces;
+        out->reserve(edges.size());
+        for (const OgEdge& e : edges) {
+          const OgGroupPeriods& src_periods = memo.Get(e.v1, periods_of);
+          const OgGroupPeriods& dst_periods = memo.Get(e.v2, periods_of);
+          if (src_periods.empty() || dst_periods.empty()) continue;
+          pieces.clear();
+          for (const HistoryItem& item : e.history) {
+            Properties props = item.properties;
+            if (!edge_type.empty()) props.Set(kTypeProperty, edge_type);
+            SplitEdgeState(item.interval, props, src_periods, dst_periods,
+                           &pieces);
           }
-        }
-        for (auto& [endpoints, p] : pieces) {
-          // Endpoint copies carry the locally seeded group state (see
-          // OgGroupPeriod): enough for a chained aZoom to redirect this
-          // edge again, without the join the algorithm avoids.
-          out->push_back(
-              OgEdge{RedirectedEdgeId(e.eid, endpoints.first, endpoints.second),
-                     OgVertex{endpoints.first, CoalesceHistory(std::move(p.src))},
-                     OgVertex{endpoints.second, CoalesceHistory(std::move(p.dst))},
-                     CoalesceHistory(std::move(p.edge))});
+          // Emitted in (new src, new dst) order, independent of the order
+          // the pieces were found in.
+          std::sort(pieces.begin(), pieces.end(),
+                    [](const RedirectedPieces& a, const RedirectedPieces& b) {
+                      return a.endpoints < b.endpoints;
+                    });
+          for (RedirectedPieces& p : pieces) {
+            // Endpoint copies carry the locally seeded group state (see
+            // OgGroupPeriod): enough for a chained aZoom to redirect this
+            // edge again, without the join the algorithm avoids.
+            auto [new_src, new_dst] = p.endpoints;
+            out->push_back(
+                OgEdge{RedirectedEdgeId(e.eid, new_src, new_dst),
+                       OgVertex{new_src, CoalesceHistory(std::move(p.src))},
+                       OgVertex{new_dst, CoalesceHistory(std::move(p.dst))},
+                       CoalesceHistory(std::move(p.edge))});
+          }
         }
       });
 

@@ -11,21 +11,28 @@ namespace tgraph {
 History CoalesceHistory(History history) {
   std::erase_if(history,
                 [](const HistoryItem& item) { return item.interval.empty(); });
-  std::sort(history.begin(), history.end(),
-            [](const HistoryItem& a, const HistoryItem& b) {
-              return a.interval < b.interval;
-            });
-  History result;
+  auto by_interval = [](const HistoryItem& a, const HistoryItem& b) {
+    return a.interval < b.interval;
+  };
+  if (!std::is_sorted(history.begin(), history.end(), by_interval)) {
+    std::sort(history.begin(), history.end(), by_interval);
+  }
+  // Compacts in place: `kept` items of the prefix are final, each later
+  // item either extends the last kept one or becomes the next kept one.
+  size_t kept = 0;
   int64_t merged = 0;
-  for (HistoryItem& item : history) {
-    if (!result.empty() && result.back().interval.Mergeable(item.interval) &&
-        result.back().properties == item.properties) {
-      result.back().interval = result.back().interval.Merge(item.interval);
+  for (size_t i = 0; i < history.size(); ++i) {
+    if (kept > 0 && history[kept - 1].interval.Mergeable(history[i].interval) &&
+        history[kept - 1].properties == history[i].properties) {
+      history[kept - 1].interval =
+          history[kept - 1].interval.Merge(history[i].interval);
       ++merged;
     } else {
-      result.push_back(std::move(item));
+      if (kept != i) history[kept] = std::move(history[i]);
+      ++kept;
     }
   }
+  history.erase(history.begin() + static_cast<ptrdiff_t>(kept), history.end());
   // Merge accounting only under tracing: this runs once per entity, so an
   // unconditional shared atomic would contend on the default hot path.
   if (merged > 0 && obs::Tracer::enabled()) {
@@ -33,7 +40,7 @@ History CoalesceHistory(History history) {
         obs::metric_names::kCoalesceMergedItems);
     merges->Add(merged);
   }
-  return result;
+  return history;
 }
 
 bool IsCoalescedHistory(const History& history) {
@@ -101,15 +108,17 @@ History MergeHistories(const History& a, const History& b,
   return CoalesceHistory(std::move(result));
 }
 
-History ClipHistory(const History& history, const Interval& window) {
-  History result;
-  for (const HistoryItem& item : history) {
-    Interval clipped = item.interval.Intersect(window);
-    if (!clipped.empty()) {
-      result.push_back(HistoryItem{clipped, item.properties});
-    }
+History ClipHistory(History history, const Interval& window) {
+  size_t kept = 0;
+  for (size_t i = 0; i < history.size(); ++i) {
+    Interval clipped = history[i].interval.Intersect(window);
+    if (clipped.empty()) continue;
+    if (kept != i) history[kept] = std::move(history[i]);
+    history[kept].interval = clipped;
+    ++kept;
   }
-  return result;
+  history.erase(history.begin() + static_cast<ptrdiff_t>(kept), history.end());
+  return history;
 }
 
 History IntersectHistoryPresence(const History& history, const History& mask) {

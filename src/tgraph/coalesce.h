@@ -16,7 +16,9 @@ using PropertiesMerge =
 /// \brief Sorts `history` by interval start and merges every run of
 /// value-equivalent, temporally adjacent (or overlapping) states into one
 /// maximal state — the paper's temporal coalescing (Böhlen), applied to a
-/// single entity. Empty-interval items are dropped.
+/// single entity. Empty-interval items are dropped. Works in place on its
+/// argument: an already-sorted history is not re-sorted, and nothing is
+/// allocated (pass an rvalue to avoid the argument copy).
 History CoalesceHistory(History history);
 
 /// \brief True iff `history` is sorted, pairwise disjoint, and no two
@@ -35,8 +37,10 @@ History MergeHistories(const History& a, const History& b,
                        const PropertiesMerge& merge);
 
 /// \brief Restricts `history` to the parts overlapping `window`, clipping
-/// intervals at the window boundaries.
-History ClipHistory(const History& history, const Interval& window);
+/// intervals at the window boundaries. Works in place on its argument, so a
+/// moved-in history that lies inside `window` comes back unchanged without
+/// an allocation.
+History ClipHistory(History history, const Interval& window);
 
 /// \brief Keeps the parts of `history` that overlap the *presence* of
 /// `mask` (the union of the mask's intervals); properties come from

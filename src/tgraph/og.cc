@@ -39,12 +39,20 @@ OgGraph OgGraph::Coalesce() const {
   auto coalesced_vertices = vertices_.Map([](const OgVertex& v) {
     return OgVertex{v.vid, CoalesceHistory(v.history)};
   });
-  auto coalesced_edges = edges_.Map([](const OgEdge& e) {
-    return OgEdge{e.eid,
-                  OgVertex{e.v1.vid, CoalesceHistory(e.v1.history)},
-                  OgVertex{e.v2.vid, CoalesceHistory(e.v2.history)},
-                  CoalesceHistory(e.history)};
-  });
+  auto coalesced_edges = edges_.MapPartitions<OgEdge>(
+      [](const std::vector<OgEdge>& edges, std::vector<OgEdge>* out) {
+        EndpointMemo<History> endpoints;
+        auto coalesce = [](const OgVertex& v) {
+          return CoalesceHistory(v.history);
+        };
+        out->reserve(edges.size());
+        for (const OgEdge& e : edges) {
+          out->push_back(OgEdge{e.eid,
+                                OgVertex{e.v1.vid, endpoints.Get(e.v1, coalesce)},
+                                OgVertex{e.v2.vid, endpoints.Get(e.v2, coalesce)},
+                                CoalesceHistory(e.history)});
+        }
+      });
   return OgGraph(coalesced_vertices, coalesced_edges, lifetime_);
 }
 

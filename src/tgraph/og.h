@@ -1,6 +1,8 @@
 #ifndef TGRAPH_TGRAPH_OG_H_
 #define TGRAPH_TGRAPH_OG_H_
 
+#include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "dataflow/dataset.h"
@@ -56,6 +58,43 @@ class OgGraph {
   dataflow::Dataset<OgVertex> vertices_;
   dataflow::Dataset<OgEdge> edges_;
   Interval lifetime_;
+};
+
+/// \brief Per-partition memo of a pure function of an OG endpoint copy.
+///
+/// Every OG edge embeds copies of both endpoints, so per-vertex work on
+/// `e.v1`/`e.v2` would otherwise run once per incident edge (GraphX ships
+/// each vertex mirror to an edge partition once for the same reason).
+/// Entries are keyed by vid and hit only when the cached input history
+/// equals the endpoint's: copies of one vid can differ after Slice or a
+/// chained aZoom, and a mismatch recomputes and replaces the entry. A
+/// replaced value is kept until the next replacement, so a returned
+/// reference survives one further Get: both endpoints of an edge can be
+/// looked up before either is used. The cached input is referenced, not
+/// copied, so a memo must not outlive the partition it reads. One memo per
+/// partition task; never shared across threads.
+template <typename V>
+class EndpointMemo {
+ public:
+  /// `compute(const OgVertex&) -> V`.
+  template <typename Fn>
+  const V& Get(const OgVertex& v, const Fn& compute) {
+    Entry& entry = memo_[v.vid];
+    if (entry.value == nullptr || *entry.input != v.history) {
+      retired_ = std::move(entry.value);
+      entry.value = std::make_unique<V>(compute(v));
+      entry.input = &v.history;
+    }
+    return *entry.value;
+  }
+
+ private:
+  struct Entry {
+    const History* input = nullptr;
+    std::unique_ptr<V> value;
+  };
+  std::unordered_map<VertexId, Entry> memo_;
+  std::unique_ptr<V> retired_;
 };
 
 }  // namespace tgraph

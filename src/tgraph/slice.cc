@@ -35,14 +35,20 @@ OgGraph SliceOg(const OgGraph& graph, Interval range) {
           out->push_back(OgVertex{v.vid, std::move(clipped)});
         }
       });
-  auto edges = graph.edges().FlatMap<OgEdge>(
-      [range](const OgEdge& e, std::vector<OgEdge>* out) {
-        History clipped = ClipHistory(e.history, range);
-        if (clipped.empty()) return;
-        out->push_back(OgEdge{e.eid,
-                              OgVertex{e.v1.vid, ClipHistory(e.v1.history, range)},
-                              OgVertex{e.v2.vid, ClipHistory(e.v2.history, range)},
-                              std::move(clipped)});
+  auto edges = graph.edges().MapPartitions<OgEdge>(
+      [range](const std::vector<OgEdge>& edges, std::vector<OgEdge>* out) {
+        EndpointMemo<History> endpoints;
+        auto clip = [range](const OgVertex& v) {
+          return ClipHistory(v.history, range);
+        };
+        for (const OgEdge& e : edges) {
+          History clipped = ClipHistory(e.history, range);
+          if (clipped.empty()) continue;
+          out->push_back(OgEdge{e.eid,
+                                OgVertex{e.v1.vid, endpoints.Get(e.v1, clip)},
+                                OgVertex{e.v2.vid, endpoints.Get(e.v2, clip)},
+                                std::move(clipped)});
+        }
       });
   return OgGraph(vertices, edges, graph.lifetime().Intersect(range));
 }

@@ -285,19 +285,24 @@ OgGraph WZoomOg(const OgGraph& graph, const WZoomSpec& spec) {
           .Cache();
 
   // Lines 5-8: per-edge history recomputation, including the embedded
-  // endpoint copies (zoomed with the *vertex* quantifier).
-  auto zoomed_edges = graph.edges().FlatMap<OgEdge>(
-      [windows, vq, eq, vresolve, eresolve](const OgEdge& e,
+  // endpoint copies (zoomed with the *vertex* quantifier, once per distinct
+  // endpoint per partition).
+  auto zoomed_edges = graph.edges().MapPartitions<OgEdge>(
+      [windows, vq, eq, vresolve, eresolve](const std::vector<OgEdge>& edges,
                                             std::vector<OgEdge>* out) {
-        History h = ZoomHistory(e.history, windows, eq, eresolve);
-        if (h.empty()) return;
-        out->push_back(
-            OgEdge{e.eid,
-                   OgVertex{e.v1.vid,
-                            ZoomHistory(e.v1.history, windows, vq, vresolve)},
-                   OgVertex{e.v2.vid,
-                            ZoomHistory(e.v2.history, windows, vq, vresolve)},
-                   std::move(h)});
+        EndpointMemo<History> endpoints;
+        auto zoom_endpoint = [&](const OgVertex& v) {
+          return ZoomHistory(v.history, windows, vq, vresolve);
+        };
+        for (const OgEdge& e : edges) {
+          History h = ZoomHistory(e.history, windows, eq, eresolve);
+          if (h.empty()) continue;
+          out->push_back(
+              OgEdge{e.eid,
+                     OgVertex{e.v1.vid, endpoints.Get(e.v1, zoom_endpoint)},
+                     OgVertex{e.v2.vid, endpoints.Get(e.v2, zoom_endpoint)},
+                     std::move(h)});
+        }
       });
 
   // Lines 9-15: dangling-edge removal — semijoin with the zoomed vertex

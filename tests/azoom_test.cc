@@ -6,6 +6,7 @@
 
 #include "tests/test_util.h"
 #include "tgraph/convert.h"
+#include "tgraph/slice.h"
 #include "tgraph/tgraph.h"
 #include "tgraph/validate.h"
 
@@ -240,6 +241,74 @@ TEST(AZoomTest, ChainedAZoomAgreesAcrossRepresentations) {
   EXPECT_TRUE(has_edges);
   EXPECT_EQ(chained(Representation::kRg), expected);
   EXPECT_EQ(chained(Representation::kOg), expected);
+}
+
+// All of `graph`'s records in one partition, so the per-partition endpoint
+// memos of the OG operators see every copy of a vertex.
+OgGraph OnePartition(const OgGraph& graph) {
+  return OgGraph(dataflow::Dataset<OgVertex>::FromVector(
+                     testing::Ctx(), graph.vertices().Collect(), 1),
+                 dataflow::Dataset<OgEdge>::FromVector(
+                     testing::Ctx(), graph.edges().Collect(), 1),
+                 graph.lifetime());
+}
+
+// True iff two endpoint copies of one vertex differ somewhere in `graph`.
+bool HasDifferingEndpointCopies(const OgGraph& graph) {
+  std::map<VertexId, History> seen;
+  for (const OgEdge& e : graph.edges().Collect()) {
+    for (const OgVertex* v : {&e.v1, &e.v2}) {
+      auto [it, inserted] = seen.emplace(v->vid, v->history);
+      if (!inserted && it->second != v->history) return true;
+    }
+  }
+  return false;
+}
+
+TEST(AZoomTest, OgEndpointCopiesDifferingWithinAPartitionMatchVe) {
+  // After one aZoom, an OG vertex's endpoint copies are per-edge pieces,
+  // so copies of one vid differ across the edges of a partition (and
+  // Slice keeps them different). The OG operators memoize per-vertex work
+  // per partition keyed by vid; a differing copy must be recomputed, not
+  // served from the memo.
+  AZoomSpec zoom;
+  zoom.group_of = GroupByProperty("group");
+  zoom.aggregator =
+      MakeAggregator("cluster", "group", {{"members", AggKind::kCount, ""}});
+  AZoomSpec coarse;
+  coarse.group_of = [](VertexId, const Properties& props)
+      -> std::optional<GroupKey> {
+    const PropertyValue* group = props.Find("group");
+    if (group == nullptr) return std::nullopt;
+    return PropertyValue(group->AsString() < "g2" ? "low" : "high");
+  };
+  coarse.aggregator =
+      MakeAggregator("band", "band", {{"clusters", AggKind::kCount, ""}});
+  coarse.edge_type = "linked";
+  const Interval range(4, 15);
+
+  for (uint64_t seed : {3, 11, 29}) {
+    VeGraph base = testing::RandomTGraph(seed);
+    TGraph ve = *TGraph::FromVe(base, /*coalesced=*/true).AZoom(zoom);
+    OgGraph og = OnePartition(AZoomOg(VeToOg(base), zoom));
+    ASSERT_TRUE(HasDifferingEndpointCopies(og)) << "seed " << seed;
+
+    for (const AZoomSpec& second : {zoom, coarse}) {
+      std::vector<std::string> expected =
+          Canonical(ve.AZoom(second)->Coalesce());
+      EXPECT_EQ(Canonical(TGraph::FromOg(AZoomOg(og, second), false)
+                              .Coalesce()),
+                expected)
+          << "chained, seed " << seed;
+
+      OgGraph sliced = SliceOg(og, range);
+      ASSERT_TRUE(HasDifferingEndpointCopies(sliced)) << "seed " << seed;
+      EXPECT_EQ(Canonical(TGraph::FromOg(AZoomOg(sliced, second), false)
+                              .Coalesce()),
+                Canonical(ve.Slice(range).AZoom(second)->Coalesce()))
+          << "slice then aZoom, seed " << seed;
+    }
+  }
 }
 
 }  // namespace

@@ -23,6 +23,32 @@ TEST(CoalesceHistoryTest, SortsBeforeMerging) {
   EXPECT_EQ(c[0].interval, Interval(1, 7));
 }
 
+TEST(CoalesceHistoryTest, AlreadyCoalescedComesBackUnchanged) {
+  History h = {{{1, 3}, P(1)}, {{3, 5}, P(2)}, {{7, 9}, P(2)}};
+  ASSERT_TRUE(IsCoalescedHistory(h));
+  EXPECT_EQ(CoalesceHistory(h), h);
+}
+
+TEST(CoalesceHistoryTest, UnsortedWithOverlapsMerges) {
+  History h = {{{6, 9}, P(2)}, {{2, 4}, P(1)}, {{1, 3}, P(1)}, {{4, 6}, P(2)}};
+  History c = CoalesceHistory(h);
+  ASSERT_EQ(c.size(), 2u);
+  EXPECT_EQ(c[0].interval, Interval(1, 4));
+  EXPECT_EQ(c[0].properties, P(1));
+  EXPECT_EQ(c[1].interval, Interval(4, 9));
+  EXPECT_EQ(c[1].properties, P(2));
+  EXPECT_TRUE(IsCoalescedHistory(c));
+}
+
+TEST(CoalesceHistoryTest, DropsEmptyIntervalsAmongValidOnes) {
+  History h = {{{3, 3}, P(1)}, {{1, 3}, P(1)}, {{5, 4}, P(1)}, {{3, 5}, P(1)}};
+  History c = CoalesceHistory(h);
+  ASSERT_EQ(c.size(), 1u);
+  EXPECT_EQ(c[0].interval, Interval(1, 5));
+  EXPECT_TRUE(CoalesceHistory({{{2, 2}, P(1)}}).empty());
+  EXPECT_TRUE(CoalesceHistory({}).empty());
+}
+
 TEST(CoalesceHistoryTest, KeepsGapsAndValueChanges) {
   History h = {{{1, 3}, P(1)}, {{4, 6}, P(1)}, {{6, 8}, P(2)}};
   History c = CoalesceHistory(h);
@@ -113,6 +139,30 @@ TEST(ClipHistoryTest, ClipsAtWindowBoundaries) {
 TEST(ClipHistoryTest, EmptyWhenOutside) {
   History h = {{{1, 5}, P(1)}};
   EXPECT_TRUE(ClipHistory(h, Interval(7, 9)).empty());
+}
+
+TEST(ClipHistoryTest, InsideWindowComesBackUnchanged) {
+  History h = {{{1, 5}, P(1)}, {{5, 9}, P(2)}};
+  EXPECT_EQ(ClipHistory(h, Interval(0, 10)), h);
+  EXPECT_EQ(ClipHistory(h, Interval(1, 9)), h);
+}
+
+TEST(ClipHistoryTest, UnsortedInputKeepsOrderAndClipsEachItem) {
+  History h = {{{6, 9}, P(2)}, {{1, 4}, P(1)}, {{4, 6}, P(3)}};
+  History clipped = ClipHistory(h, Interval(3, 7));
+  ASSERT_EQ(clipped.size(), 3u);
+  EXPECT_EQ(clipped[0], (HistoryItem{{6, 7}, P(2)}));
+  EXPECT_EQ(clipped[1], (HistoryItem{{3, 4}, P(1)}));
+  EXPECT_EQ(clipped[2], (HistoryItem{{4, 6}, P(3)}));
+}
+
+TEST(ClipHistoryTest, DropsEmptyIntervalsAndEmptyWindow) {
+  History h = {{{2, 2}, P(1)}, {{3, 6}, P(2)}, {{8, 7}, P(3)}};
+  History clipped = ClipHistory(h, Interval(0, 10));
+  ASSERT_EQ(clipped.size(), 1u);
+  EXPECT_EQ(clipped[0], (HistoryItem{{3, 6}, P(2)}));
+  EXPECT_TRUE(ClipHistory(h, Interval(4, 4)).empty());
+  EXPECT_TRUE(ClipHistory({}, Interval(0, 10)).empty());
 }
 
 TEST(IntersectHistoryPresenceTest, KeepsOwnPropertiesOnMaskOverlap) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace tgraph::storage {
 namespace {
 
@@ -77,6 +80,43 @@ TEST(SerdeTest, HistoryRoundTrip) {
   Result<History> decoded = DeserializeHistory(buffer, &pos);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, history);
+}
+
+TEST(SerdeTest, PropsRunCacheDecodesLikeAPlainDecode) {
+  // Histories decoded in one loop share a run cache: repeats within a
+  // history and across histories reuse the previous set, and a set whose
+  // encoding differs in any byte is parsed afresh.
+  Properties a{{"type", "a"}, {"v", 1}};
+  Properties ab{{"type", "ab"}, {"v", 1}};
+  Properties a2{{"type", "a"}, {"v", 2}};
+  std::vector<History> histories = {
+      {{{1, 5}, a}, {{5, 9}, a}, {{9, 12}, ab}},
+      {{{0, 2}, ab}, {{2, 3}, a2}},
+      {},
+      {{{4, 6}, a2}, {{6, 8}, Properties()}, {{8, 9}, a}},
+  };
+  std::vector<std::string> cells;
+  for (const History& history : histories) {
+    cells.emplace_back();
+    SerializeHistory(history, &cells.back());
+  }
+  PropsRunCache cache;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    size_t pos = 0;
+    Result<History> decoded = DeserializeHistory(cells[i], &pos, &cache);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(*decoded, histories[i]) << "history " << i;
+    EXPECT_EQ(pos, cells[i].size());
+  }
+
+  std::string cell_a, cell_a2;
+  SerializeProperties(a, &cell_a);
+  SerializeProperties(a2, &cell_a2);
+  PropsRunCache cells_cache;
+  EXPECT_EQ(*cells_cache.Decode(cell_a), a);
+  EXPECT_EQ(*cells_cache.Decode(cell_a), a);
+  EXPECT_EQ(*cells_cache.Decode(cell_a2), a2);
+  EXPECT_EQ(*cells_cache.Decode(cell_a), a);
 }
 
 TEST(SerdeTest, NegativeTimePointsSurvive) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <tuple>
 
 #include "tests/test_util.h"
+#include "tgraph/azoom.h"
 #include "tgraph/convert.h"
 #include "tgraph/tgraph.h"
 #include "tgraph/validate.h"
@@ -128,6 +131,53 @@ TEST(WZoomOgTest, DanglingEdgeRemovalMatchesVe) {
   VeGraph from_og = OgToVe(WZoomOg(VeToOg(Figure1()), spec)).Coalesce();
   VeGraph from_ve = WZoomVe(Figure1(), spec);
   EXPECT_EQ(testing::Canonical(from_og), testing::Canonical(from_ve));
+}
+
+// `graph`'s edges sorted by id, endpoint copies included.
+std::vector<OgEdge> SortedEdges(const OgGraph& graph) {
+  std::vector<OgEdge> edges = graph.edges().Collect();
+  std::sort(edges.begin(), edges.end(), [](const OgEdge& a, const OgEdge& b) {
+    return std::tie(a.eid, a.v1.vid, a.v2.vid) <
+           std::tie(b.eid, b.v1.vid, b.v2.vid);
+  });
+  return edges;
+}
+
+TEST(WZoomOgTest, EndpointCopiesDifferingWithinAPartitionMatchVe) {
+  // aZoom leaves per-edge endpoint copies, so copies of one vid differ
+  // across the edges of a partition. WZoomOg (and the Coalesce before it)
+  // work on each distinct copy once per partition, so the result must not
+  // depend on which edges share a partition: all edges in one partition
+  // must give the same records as one edge per partition, and the same
+  // graph as VE.
+  AZoomSpec zoom;
+  zoom.group_of = GroupByProperty("group");
+  zoom.aggregator =
+      MakeAggregator("cluster", "group", {{"members", AggKind::kCount, ""}});
+  WZoomSpec spec{WindowSpec::TimePoints(3), Quantifier::Exists(),
+                 Quantifier::Exists(), {}, {}};
+  spec.vertex_resolve.default_resolver = Resolver::kLast;
+  for (uint64_t seed : {5, 17}) {
+    VeGraph base = testing::RandomTGraph(seed);
+    OgGraph zoomed = AZoomOg(VeToOg(base), zoom);
+    std::vector<OgEdge> edges = zoomed.edges().Collect();
+    auto partitioned = [&](int edge_partitions) {
+      return TGraph::FromOg(
+          OgGraph(dataflow::Dataset<OgVertex>::FromVector(
+                      testing::Ctx(), zoomed.vertices().Collect(), 1),
+                  dataflow::Dataset<OgEdge>::FromVector(testing::Ctx(), edges,
+                                                        edge_partitions),
+                  zoomed.lifetime()),
+          /*coalesced=*/false);
+    };
+    TGraph shared = *partitioned(1).WZoom(spec);
+    TGraph alone = *partitioned(static_cast<int>(edges.size())).WZoom(spec);
+    EXPECT_EQ(SortedEdges(shared.og()), SortedEdges(alone.og()))
+        << "seed " << seed;
+    TGraph ve = *TGraph::FromVe(base, /*coalesced=*/true).AZoom(zoom);
+    EXPECT_EQ(testing::Canonical(shared), testing::Canonical(*ve.WZoom(spec)))
+        << "seed " << seed;
+  }
 }
 
 TEST(WZoomOgcTest, DanglingEdgeRemovalViaBitsetAnd) {
